@@ -5,6 +5,7 @@
 
 #include "kernel_json_reporter.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "diagnostics/diagnostic.h"
@@ -143,6 +144,47 @@ void BM_PipelineSingleScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PipelineSingleScan)->Unit(benchmark::kMillisecond);
+
+// The single scan for MAX on an n-row sample, one thread, K = K' = 100:
+// rare_segment's median request (n = 5,000 is its stratum cap) and a third
+// of adhoc's Facebook mix (n = 12,500 is its sample size). Items are the
+// weights drawn, i.e. row-replicates: n*K for the bootstrap plus
+// sum_i p_i*b_i*K' over the diagnostic ladder.
+void BM_PipelineSingleScanMax(benchmark::State& state) {
+  constexpr int kReplicates = 100;
+  const int64_t n = state.range(0);
+  Fixture& f = Fixture::Get();
+  Rng sample_rng(10);
+  Sample sample =
+      std::move(CreateUniformSample(f.population, n, false, sample_rng))
+          .value();
+  QuerySpec query = f.query;
+  query.aggregate.kind = AggregateKind::kMax;
+  DiagnosticConfig config;
+  Result<std::vector<int64_t>> sizes =
+      diag_internal::ResolveSubsampleSizes(config, n);
+  if (!sizes.ok()) {
+    state.SkipWithError(sizes.status().ToString().c_str());
+    return;
+  }
+  int64_t weights_per_scan = n * kReplicates;
+  for (int64_t b : *sizes) {
+    int64_t p = std::min<int64_t>(config.num_subsamples, n / b);
+    weights_per_scan += p * b * kReplicates;
+  }
+  Rng rng(11);
+  for (auto _ : state) {
+    auto result = RunSingleScanPipeline(
+        *sample.data, query, sample.population_rows, kReplicates, kReplicates,
+        config, BootstrapCiMode::kNormalApprox, rng);
+    benchmark::DoNotOptimize(result.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * weights_per_scan);
+}
+BENCHMARK(BM_PipelineSingleScanMax)
+    ->Arg(5000)
+    ->Arg(12500)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace aqp

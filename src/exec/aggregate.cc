@@ -1,7 +1,9 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -102,18 +104,67 @@ void WeightedAccumulator::AddBlock(const double* values, const double* weights,
       sum_ = s;
       return;
     }
+    case AggregateKind::kMin:
+      AddExtremaBlock</*kIsMax=*/false>(values, weights, count);
+      return;
+    case AggregateKind::kMax:
+      AddExtremaBlock</*kIsMax=*/true>(values, weights, count);
+      return;
     case AggregateKind::kVariance:
     case AggregateKind::kStddev:
-    case AggregateKind::kMin:
-    case AggregateKind::kMax:
     case AggregateKind::kPercentile:
-      // Welford and extrema are inherently per-row (and must skip zero
-      // weights); delegate to the scalar fold.
+      // Welford is inherently per-row (and must skip zero weights); delegate
+      // to the scalar fold.
       for (int64_t i = 0; i < count; ++i) {
         Add(values[i], weights == nullptr ? 1.0 : weights[i]);
       }
       return;
   }
+}
+
+template <bool kIsMax>
+void WeightedAccumulator::AddExtremaBlock(const double* values,
+                                          const double* weights,
+                                          int64_t count) {
+  double& extreme = kIsMax ? max_ : min_;
+  int64_t i = 0;
+  if (!any_) {
+    // Add() adopts the first positive-weight row's value outright (NaN
+    // included), so find that row with a plain scan.
+    while (i < count && weights != nullptr && weights[i] == 0.0) ++i;
+    if (i == count) return;
+    extreme = values[i];
+    weight_sum_ += weights == nullptr ? 1.0 : weights[i];
+    any_ = true;
+    ++i;
+  }
+  // Add()'s rule for every later row: the candidate replaces the running
+  // extreme only when strictly better (so NaN and equal values, ±0.0
+  // included, keep the earlier row). A zero-weight row offers -inf (MAX) or
+  // +inf (MIN) through a bit mask, which never wins, so the fold needs no
+  // per-row branch; the compare-select compiles to maxsd/minsd.
+  constexpr double kNeutral = kIsMax ? -std::numeric_limits<double>::infinity()
+                                     : std::numeric_limits<double>::infinity();
+  constexpr uint64_t kNeutralBits = std::bit_cast<uint64_t>(kNeutral);
+  double best = extreme;
+  if (weights == nullptr) {
+    weight_sum_ += static_cast<double>(count - i);
+    for (; i < count; ++i) {
+      double cand = values[i];
+      best = (kIsMax ? best < cand : cand < best) ? cand : best;
+    }
+  } else {
+    double ws = weight_sum_;
+    for (; i < count; ++i) {
+      uint64_t keep = -static_cast<uint64_t>(weights[i] != 0.0);
+      double cand = std::bit_cast<double>(
+          (std::bit_cast<uint64_t>(values[i]) & keep) | (kNeutralBits & ~keep));
+      best = (kIsMax ? best < cand : cand < best) ? cand : best;
+      ws += weights[i];  // Integral: zero weights add exactly 0.0.
+    }
+    weight_sum_ = ws;
+  }
+  extreme = best;
 }
 
 void WeightedAccumulator::Merge(const WeightedAccumulator& other) {

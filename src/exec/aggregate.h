@@ -29,14 +29,17 @@ class WeightedAccumulator {
 
   /// Folds in a block: equivalent to `Add(values[i], weights[i])` for i in
   /// [0, count), and produces results that compare equal to that scalar loop
-  /// for finite inputs. `weights == nullptr` means unit weights (the plain
-  /// aggregate). `values == nullptr` is allowed for COUNT only.
+  /// for finite inputs (MIN/MAX: bit-identical for every input). `weights ==
+  /// nullptr` means unit weights (the plain aggregate). `values == nullptr`
+  /// is allowed for COUNT only.
   ///
-  /// The hot kinds (COUNT/SUM/AVG) accumulate unconditionally — no per-row
-  /// zero-weight branch — which is valid because `w == 0` contributes
+  /// COUNT/SUM/AVG/MIN/MAX fold with no per-row zero-weight branch. The sums
+  /// accumulate unconditionally, which is valid because `w == 0` contributes
   /// exactly 0.0 to both running sums, and integral weight sums below 2^53
-  /// are exact in any association. The value-sum chain stays serial so the
-  /// FP accumulation order matches the scalar path.
+  /// are exact in any association; the value-sum chain stays serial so the
+  /// FP accumulation order matches the scalar path. MIN/MAX let a zero-weight
+  /// row offer the identity (+inf/-inf) to a serial compare-select chain.
+  /// VARIANCE/STDEV fold row by row through Add.
   void AddBlock(const double* values, const double* weights, int64_t count);
 
   /// Merges another accumulator of the same kind (partial aggregation
@@ -53,6 +56,11 @@ class WeightedAccumulator {
   double weight_sum() const { return weight_sum_; }
 
  private:
+  /// AddBlock for MIN (kIsMax = false) and MAX.
+  template <bool kIsMax>
+  void AddExtremaBlock(const double* values, const double* weights,
+                       int64_t count);
+
   AggregateKind kind_;
   double weight_sum_ = 0.0;
   double sum_ = 0.0;   ///< SUM and AVG: running weighted value sum.

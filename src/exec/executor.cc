@@ -240,7 +240,7 @@ std::vector<double> MultiResampleStreaming(const PreparedQuery& prepared,
     // preserved — the filter/projection ran once, upstream). The pass itself
     // is the fused block kernel: value blocks stay L1-resident across the
     // slice's replicates, and each replicate's weights come from batched
-    // uniform fills at the same stream positions the scalar loop would use.
+    // weight fills at the same stream positions the scalar loop would use.
     size_t width = static_cast<size_t>(ke - kb);
     std::vector<WeightedAccumulator> accumulators(
         width, WeightedAccumulator(aggregate.kind));
@@ -288,10 +288,9 @@ Result<std::vector<double>> MultiResamplePercentile(
     std::vector<double> weights(n);
     for (int64_t k = kb; k < ke; ++k) {
       Rng replicate_rng = streams.Stream(static_cast<uint64_t>(k));
-      // Batched uniform fill + in-place inverse-CDF transform: same draws
-      // as a scalar PoissonOneWeight loop over the replicate's stream.
-      replicate_rng.FillUniform(weights.data(), static_cast<int64_t>(n));
-      PoissonOneWeightsFromUniforms(weights.data(), static_cast<int64_t>(n));
+      // Same draws as a scalar PoissonOneWeight loop over the stream.
+      FillPoissonOneWeights(replicate_rng, weights.data(),
+                            static_cast<int64_t>(n));
       Result<double> theta = WeightedQuantileSorted(prepared.values, order,
                                                     weights.data(),
                                                     aggregate.percentile);

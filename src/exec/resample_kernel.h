@@ -13,12 +13,12 @@ namespace aqp {
 ///
 /// Tiles the scan (row-block x replicate): for each kVectorBlockSize-row
 /// block of `values`, every replicate draws that block's Poisson(1) weights
-/// (batched uniform fill + branchless inverse-CDF transform) and folds the
-/// block into its accumulator. The value block is loaded from memory once
+/// (FillPoissonOneWeights: one draw per weight, mapped to a count by integer
+/// threshold compares) and folds the block into its accumulator. The value block is loaded from memory once
 /// and stays L1-resident across all K replicates, so adding replicates costs
 /// compute, not bandwidth.
 ///
-/// Determinism: replicate s consumes exactly one uniform from `rngs[s]` per
+/// Determinism: replicate s consumes exactly one draw from `rngs[s]` per
 /// row, in row order — the same stream positions the scalar
 /// `PoissonOneWeight(rngs[s])` loop consumes — so results are invariant to
 /// how callers partition replicates across threads, and the accumulator

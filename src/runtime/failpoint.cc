@@ -95,4 +95,22 @@ int64_t FailpointRegistry::InjectedDelayNanos(std::string_view site,
   return it->second.delay_nanos;
 }
 
+void MaybeStall(const FailpointRegistry* failpoints, std::string_view site,
+                uint64_t unit, uint64_t attempt,
+                const CancellationToken& token) {
+  if (failpoints == nullptr) return;
+  int64_t delay_nanos = failpoints->InjectedDelayNanos(site, unit, attempt);
+  if (delay_nanos <= 0) return;
+  const double remaining = token.deadline().RemainingSeconds();
+  if (remaining <= 0.0) return;  // Already expired; stalling adds nothing.
+  const double cap_nanos = remaining * 1e9;
+  if (cap_nanos < static_cast<double>(delay_nanos)) {
+    delay_nanos = static_cast<int64_t>(cap_nanos) + 1;
+  }
+  Mutex mu;
+  CondVar cv;
+  MutexLock lock(mu);
+  cv.WaitForNanos(mu, delay_nanos);  // Timeout is the point; no notifier.
+}
+
 }  // namespace aqp

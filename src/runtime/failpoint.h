@@ -7,6 +7,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "runtime/cancellation.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -101,6 +102,16 @@ class FailpointRegistry {
   mutable std::atomic<int64_t> injected_{0};
   mutable std::atomic<int64_t> injected_delays_{0};
 };
+
+/// Executes the straggler delay `failpoints` injects at `site` for
+/// (unit, attempt), if any: the registry decides, this sleeps, capped by
+/// `token`'s remaining deadline so a straggler makes its work late — never
+/// immortal. A null registry, an unarmed site or an expired deadline
+/// returns at once. The wait runs on a local CondVar nobody signals: the
+/// sanctioned timed-blocking primitive, not a raw sleep.
+void MaybeStall(const FailpointRegistry* failpoints, std::string_view site,
+                uint64_t unit, uint64_t attempt,
+                const CancellationToken& token);
 
 }  // namespace aqp
 

@@ -82,9 +82,10 @@ ParallelForStats ParallelFor(
   Mutex lost_mu;
   std::vector<int64_t> lost_units;
 
-  // Runs one chunk, honoring the chunk failpoint's bounded retries. The
-  // body re-executes identical work on retry (randomness is keyed by item
-  // indices), so a recovered failure leaves no trace in the results.
+  // Runs one chunk, honoring the chunk failpoint's bounded retries and
+  // straggler stalls. The body re-executes identical work on retry
+  // (randomness is keyed by item indices), so a recovered failure leaves no
+  // trace in the results, and a stalled chunk computes the same bits later.
   auto run_chunk = [&](int64_t c) {
     int64_t b = begin + c * grain;
     int64_t e = std::min(end, b + grain);
@@ -96,6 +97,8 @@ ParallelForStats ParallelFor(
         injected.fetch_add(1, std::memory_order_relaxed);
         continue;  // This attempt is a lost task; retry.
       }
+      MaybeStall(failpoints, kParallelForChunkSite, static_cast<uint64_t>(c),
+                 static_cast<uint64_t>(attempt), token);
       body(b, e);
       done.fetch_add(1, std::memory_order_relaxed);
       return;

@@ -13,8 +13,9 @@ namespace aqp {
 
 class Tracer;  // obs/trace.h; carried as an opaque pointer here.
 
-/// Failpoint site at which ParallelFor injects chunk failures (unit = chunk
-/// index, attempt = retry number).
+/// Failpoint site at which ParallelFor injects chunk failures (Arm) and
+/// straggler stalls (ArmLatency); unit = chunk index, attempt = retry
+/// number.
 inline constexpr const char* kParallelForChunkSite = "runtime.parallel_for.chunk";
 
 /// Attempts (first try + retries) ParallelFor gives a chunk whose execution
@@ -135,7 +136,10 @@ struct ParallelForStats {
 ///    kParallelForChunkSite failpoint (unit = chunk index) before each
 ///    attempt; an injected failure skips the attempt (a lost task) and the
 ///    chunk retries up to kParallelForChunkAttempts times before being
-///    counted lost. Because injection is keyed by (chunk, attempt) and a
+///    counted lost. A site armed for latency stalls each attempt it picks
+///    before the body runs (MaybeStall: capped by the token's remaining
+///    deadline), so tests can make a region overrun its deadline on any
+///    hardware. Because injection is keyed by (chunk, attempt) and a
 ///    chunk's work is keyed by item indices, fault-injected runs are
 ///    deterministic at any thread count, and runs whose failures all
 ///    recover are bit-identical to uninjected runs.

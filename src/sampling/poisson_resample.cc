@@ -7,8 +7,8 @@
 namespace aqp {
 namespace {
 
-/// Rows per uniform-fill batch. Matches the executor's vector block size:
-/// one batch of uniforms (16 KiB) stays L1-resident through the transform.
+/// Cells per WeightMatrix fill batch: the int32 counts (8 KiB) stay
+/// L1-resident until they are narrowed into the matrix.
 constexpr int64_t kWeightBatch = 2048;
 
 }  // namespace
@@ -17,16 +17,7 @@ std::vector<int32_t> GeneratePoissonWeights(int64_t n, Rng& rng, double rate) {
   AQP_CHECK(n >= 0 && rate >= 0.0);
   std::vector<int32_t> weights(static_cast<size_t>(n));
   if (rate == 1.0) {
-    // Batched fill + branchless inverse-CDF transform; same draw sequence as
-    // a scalar PoissonOneWeight loop (one uniform per weight).
-    double uniforms[kWeightBatch];
-    for (int64_t base = 0; base < n; base += kWeightBatch) {
-      int64_t len = std::min(kWeightBatch, n - base);
-      rng.FillUniform(uniforms, len);
-      for (int64_t i = 0; i < len; ++i) {
-        weights[static_cast<size_t>(base + i)] = PoissonOneFromUniform(uniforms[i]);
-      }
-    }
+    FillPoissonOneWeights(rng, weights.data(), n);
   } else {
     for (int32_t& w : weights) {
       w = static_cast<int32_t>(rng.NextPoisson(rate));
@@ -40,12 +31,12 @@ WeightMatrix::WeightMatrix(int64_t num_resamples, int64_t num_rows, Rng& rng)
   AQP_CHECK(num_resamples >= 0 && num_rows >= 0);
   int64_t cells = num_resamples * num_rows;
   data_.resize(static_cast<size_t>(cells));
-  double uniforms[kWeightBatch];
+  int32_t counts[kWeightBatch];
   for (int64_t base = 0; base < cells; base += kWeightBatch) {
     int64_t len = std::min(kWeightBatch, cells - base);
-    rng.FillUniform(uniforms, len);
+    FillPoissonOneWeights(rng, counts, len);
     for (int64_t i = 0; i < len; ++i) {
-      int32_t count = PoissonOneFromUniform(uniforms[i]);
+      int32_t count = counts[i];
       clamped_cells_ += static_cast<int64_t>(count > 255);
       data_[static_cast<size_t>(base + i)] =
           count > 255 ? 255 : static_cast<uint8_t>(count);

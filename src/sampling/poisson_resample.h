@@ -32,6 +32,22 @@ inline constexpr double kPoissonOneCdf[19] = {
     0.99999999999998112, 0.99999999999999870, 0.99999999999999989,
     1.0};
 
+/// The smallest 53-bit draw k whose uniform k * 2^-53 is >= `cdf`, i.e.
+/// ceil(cdf * 2^53). Scaling by a power of two is exact, so the product and
+/// its ceiling are exact too.
+constexpr uint64_t CdfThreshold53(double cdf) {
+  double scaled = cdf * 0x1.0p53;
+  uint64_t floor = static_cast<uint64_t>(scaled);
+  return static_cast<double>(floor) < scaled ? floor + 1 : floor;
+}
+
+/// T_j = ceil(F(j) * 2^53) for the bins PoissonOneFromBits decides in the
+/// integer domain: k >= T_j exactly when k * 2^-53 >= F(j).
+inline constexpr uint64_t kPoissonOneThreshold53[5] = {
+    CdfThreshold53(kPoissonOneCdf[0]), CdfThreshold53(kPoissonOneCdf[1]),
+    CdfThreshold53(kPoissonOneCdf[2]), CdfThreshold53(kPoissonOneCdf[3]),
+    CdfThreshold53(kPoissonOneCdf[4])};
+
 }  // namespace poisson_internal
 
 /// Maps one uniform u in [0, 1) to a Poisson(1) count by inverting the CDF:
@@ -41,8 +57,8 @@ inline constexpr double kPoissonOneCdf[19] = {
 ///
 /// Consuming exactly ONE uniform per weight (unlike Knuth's multiplicative
 /// method, whose draw count is itself random) is what lets block-filled
-/// uniforms reproduce the scalar draw sequence bit-for-bit: a replicate
-/// stream's i-th weight is always derived from its i-th uniform, regardless
+/// weights reproduce the scalar draw sequence bit-for-bit: a replicate
+/// stream's i-th weight is always derived from its i-th draw, regardless
 /// of batching.
 inline int32_t PoissonOneFromUniform(double u) {
   using poisson_internal::kPoissonOneCdf;
@@ -57,20 +73,39 @@ inline int32_t PoissonOneFromUniform(double u) {
   return w;
 }
 
-/// Draws one Poisson(1) count. Exposed for the inner loops in the
-/// consolidated executor; consumes exactly one uniform from `rng` (see
-/// PoissonOneFromUniform for why that matters to the vectorized kernels).
-inline int32_t PoissonOneWeight(Rng& rng) {
-  return PoissonOneFromUniform(rng.NextDouble());
+/// PoissonOneFromUniform(k * 2^-53) for a draw's 53 high bits k, decided
+/// on k itself: u = k * 2^-53 is exact, so u >= F(j) holds exactly when
+/// k >= T_j = ceil(F(j) * 2^53), and the common bins cost four integer
+/// compares instead of an int-to-double conversion and four double ones.
+/// Draws past T_4 (0.37%) take the double tail walk.
+inline int32_t PoissonOneFromBits(uint64_t k) {
+  using poisson_internal::kPoissonOneThreshold53;
+  if (k >= kPoissonOneThreshold53[4]) [[unlikely]] {
+    return PoissonOneFromUniform(static_cast<double>(k) * 0x1.0p-53);
+  }
+  return static_cast<int32_t>(k >= kPoissonOneThreshold53[0]) +
+         static_cast<int32_t>(k >= kPoissonOneThreshold53[1]) +
+         static_cast<int32_t>(k >= kPoissonOneThreshold53[2]) +
+         static_cast<int32_t>(k >= kPoissonOneThreshold53[3]);
 }
 
-/// In-place block transform: maps `buf[0..n)` holding uniforms (as filled by
-/// Rng::FillUniform) to Poisson(1) weights stored as doubles. Equivalent to
-/// n scalar PoissonOneFromUniform calls.
-inline void PoissonOneWeightsFromUniforms(double* buf, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    buf[i] = static_cast<double>(PoissonOneFromUniform(buf[i]));
-  }
+/// The Poisson(1) weight generator: fills `out[0..n)` with the next n
+/// weights of `rng`, one draw per weight in stream order (so split fills
+/// equal one fill, and weight i equals
+/// PoissonOneFromUniform(i-th NextDouble())). Every rate-1 weight in the
+/// engine comes from here.
+template <typename T>
+inline void FillPoissonOneWeights(Rng& rng, T* out, int64_t n) {
+  rng.ForEachDraw53(n, [out](int64_t i, uint64_t k) {
+    out[i] = static_cast<T>(PoissonOneFromBits(k));
+  });
+}
+
+/// Draws one Poisson(1) count: a one-weight fill.
+inline int32_t PoissonOneWeight(Rng& rng) {
+  int32_t w;
+  FillPoissonOneWeights(rng, &w, 1);
+  return w;
 }
 
 /// Generates one resample's weights: `n` independent Poisson(rate) counts.
@@ -81,8 +116,7 @@ std::vector<int32_t> GeneratePoissonWeights(int64_t n, Rng& rng,
 
 /// Dense row-major weight matrix: `num_resamples` x `num_rows` Poisson(1)
 /// counts, stored as uint8. Used by tests and the materializing execution
-/// path; the consolidated executor streams weights instead. Generation is
-/// block-batched (uniform fill + inverse-CDF transform) and draws the same
+/// path; the consolidated executor streams weights instead. Draws the same
 /// sequence a scalar PoissonOneWeight loop over the flat matrix would.
 class WeightMatrix {
  public:

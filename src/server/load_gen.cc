@@ -8,6 +8,7 @@
 
 #include "runtime/rng_stream.h"
 #include "runtime/thread_pool.h"
+#include "sampling/poisson_resample.h"
 #include "util/mutex.h"
 #include "util/random.h"
 
@@ -233,11 +234,10 @@ PercentileEstimate PoissonizedPercentile(
   std::vector<int64_t> weights(sorted_samples.size());
   for (int r = 0; r < replicates; ++r) {
     Rng rng(DeriveStreamSeed(seed, static_cast<uint64_t>(r)));
-    int64_t total = 0;
-    for (auto& w : weights) {
-      w = rng.NextPoisson(1.0);
-      total += w;
-    }
+    FillPoissonOneWeights(rng, weights.data(),
+                          static_cast<int64_t>(weights.size()));
+    int64_t total = std::accumulate(weights.begin(), weights.end(),
+                                    int64_t{0});
     replicate_quantiles.push_back(
         WeightedQuantile(sorted_samples, weights, total, quantile));
   }

@@ -26,30 +26,6 @@ AdmissionOptions DeriveAdmission(const AdmissionOptions& options,
   return derived;
 }
 
-/// Executes an injected stall when `site` is armed for latency: the
-/// failpoint decides (deterministically per (unit, attempt)), this helper
-/// sleeps, capped by the request's remaining deadline budget so a straggler
-/// makes the request late — never immortal. The wait runs on a local
-/// CondVar nobody signals: the sanctioned timed-blocking primitive, not a
-/// raw sleep.
-void MaybeStall(const FailpointRegistry* failpoints, const char* site,
-                uint64_t unit, uint64_t attempt,
-                const CancellationToken& token) {
-  if (failpoints == nullptr) return;
-  int64_t delay_nanos = failpoints->InjectedDelayNanos(site, unit, attempt);
-  if (delay_nanos <= 0) return;
-  const double remaining = token.deadline().RemainingSeconds();
-  if (remaining <= 0.0) return;  // Already expired; stalling adds nothing.
-  const double cap_nanos = remaining * 1e9;
-  if (cap_nanos < static_cast<double>(delay_nanos)) {
-    delay_nanos = static_cast<int64_t>(cap_nanos) + 1;
-  }
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(mu);
-  cv.WaitForNanos(mu, delay_nanos);  // Timeout is the point; no notifier.
-}
-
 }  // namespace
 
 AqpServer::AqpServer(ServerOptions options)

@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,16 +24,7 @@ Rng::Rng(uint64_t seed) {
 }
 
 uint64_t Rng::NextUint64() {
-  // xoshiro256++ by Blackman & Vigna (public domain reference algorithm).
-  uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
+  return Step(state_[0], state_[1], state_[2], state_[3]);
 }
 
 double Rng::NextDouble() {
@@ -44,27 +33,9 @@ double Rng::NextDouble() {
 }
 
 void Rng::FillUniform(double* out, int64_t n) {
-  // Keep the whole xoshiro state in locals for the duration of the block;
-  // the per-draw arithmetic is identical to NextUint64()/NextDouble().
-  uint64_t s0 = state_[0];
-  uint64_t s1 = state_[1];
-  uint64_t s2 = state_[2];
-  uint64_t s3 = state_[3];
-  for (int64_t i = 0; i < n; ++i) {
-    uint64_t result = Rotl(s0 + s3, 23) + s0;
-    uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = Rotl(s3, 45);
-    out[i] = static_cast<double>(result >> 11) * 0x1.0p-53;
-  }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
+  ForEachDraw53(n, [out](int64_t i, uint64_t k) {
+    out[i] = static_cast<double>(k) * 0x1.0p-53;
+  });
 }
 
 int64_t Rng::NextInt(int64_t bound) {

@@ -24,11 +24,27 @@ class Rng {
   double NextDouble();
 
   /// Fills `out[0..n)` with uniforms in [0, 1), identically to calling
-  /// NextDouble() n times (same stream positions, same values). This is the
-  /// block RNG fill feeding the vectorized resampling kernels: batching the
-  /// draws keeps the generator state in registers across a whole block
-  /// instead of round-tripping it through memory per draw.
+  /// NextDouble() n times (same stream positions, same values).
   void FillUniform(double* out, int64_t n);
+
+  /// The block draw loop: takes n draws in stream order and calls
+  /// `sink(i, k)` with draw i's 53 high bits k — the integer behind
+  /// NextDouble()'s k * 2^-53 — leaving the generator where n NextDouble()
+  /// calls would. The xoshiro state stays in registers for the whole block
+  /// instead of round-tripping through memory per draw. FillUniform and the
+  /// Poisson(1) weight fill (sampling/poisson_resample.h) are built on it.
+  template <typename Sink>
+  void ForEachDraw53(int64_t n, Sink&& sink) {
+    uint64_t s0 = state_[0];
+    uint64_t s1 = state_[1];
+    uint64_t s2 = state_[2];
+    uint64_t s3 = state_[3];
+    for (int64_t i = 0; i < n; ++i) sink(i, Step(s0, s1, s2, s3) >> 11);
+    state_[0] = s0;
+    state_[1] = s1;
+    state_[2] = s2;
+    state_[3] = s3;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be positive.
   int64_t NextInt(int64_t bound);
@@ -53,8 +69,9 @@ class Rng {
 
   /// Poisson-distributed count with mean `lambda`. Uses Knuth's method for
   /// small lambda and a normal-approximation w/ continuity correction for
-  /// large lambda. The lambda == 1 case (Poissonized resampling, §5.1 of the
-  /// paper) is the hot path.
+  /// large lambda. Poissonized-resampling weights (rate 1, §5.1 of the
+  /// paper) come from FillPoissonOneWeights in sampling/poisson_resample.h
+  /// instead.
   int64_t NextPoisson(double lambda);
 
   /// Lognormal: exp(N(mu, sigma)).
@@ -83,6 +100,23 @@ class Rng {
   std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+  /// One xoshiro256++ step (Blackman & Vigna, public domain reference
+  /// algorithm) on state words held by the caller.
+  static uint64_t Step(uint64_t& s0, uint64_t& s1, uint64_t& s2,
+                       uint64_t& s3) {
+    uint64_t result = Rotl(s0 + s3, 23) + s0;
+    uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = Rotl(s3, 45);
+    return result;
+  }
+
   uint64_t state_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

@@ -119,7 +119,15 @@ QuerySpec UdfAvgQuery(const char* table) {
   return q;
 }
 
+// Stall per fan-out chunk. Every chunk straggles, so a query's 375 units
+// (75 bootstrap chunks + 300 diagnostic subsamples) need over a second on
+// three workers, and a 0.12 s budget overruns on any hardware: without the
+// stall, a fast core finishes all 300 replicates inside the budget.
+constexpr double kChunkStallSeconds = 0.01;
+
 TEST(EngineDeadlineTest, MispredictedThroughputDegradesGracefully) {
+  FailpointRegistry stalls(/*seed=*/1);
+  stalls.ArmLatency(kParallelForChunkSite, 1.0, kChunkStallSeconds);
   EngineOptions options;
   options.bootstrap_replicates = 300;
   options.diagnostic.num_subsamples = 100;
@@ -129,6 +137,7 @@ TEST(EngineDeadlineTest, MispredictedThroughputDegradesGracefully) {
   // promise.
   options.rows_per_second = 1e9;
   options.num_threads = 2;
+  options.failpoints = &stalls;
   AqpEngine engine(options);
   ASSERT_TRUE(engine.RegisterTable(MakeBigTable(300000)).ok());
   ASSERT_TRUE(engine.CreateSample("big", 150000).ok());
@@ -175,6 +184,8 @@ TEST(EngineDeadlineTest, GenerousBudgetRunsToCompletion) {
 }
 
 TEST(EngineDeadlineTest, OverrunFeedsThroughputModelDown) {
+  FailpointRegistry stalls(/*seed=*/1);
+  stalls.ArmLatency(kParallelForChunkSite, 1.0, kChunkStallSeconds);
   EngineOptions options;
   options.bootstrap_replicates = 300;
   options.diagnostic.num_subsamples = 100;
@@ -182,6 +193,7 @@ TEST(EngineDeadlineTest, OverrunFeedsThroughputModelDown) {
   options.rows_per_second = 1e9;
   options.throughput_ewma_alpha = 0.3;
   options.num_threads = 2;
+  options.failpoints = &stalls;
   AqpEngine engine(options);
   ASSERT_TRUE(engine.RegisterTable(MakeBigTable(300000)).ok());
   ASSERT_TRUE(engine.CreateSample("big", 150000).ok());

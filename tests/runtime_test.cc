@@ -544,6 +544,47 @@ TEST(ParallelForFailpointTest, InjectionCountsMatchAcrossThreadCounts) {
   EXPECT_EQ(run(8), serial);
 }
 
+TEST(ParallelForFailpointTest, LatencyArmedChunksRunEveryItemOnce) {
+  // A stalled chunk runs later, not differently: with no deadline every
+  // chunk stalls its full delay and the region completes.
+  ThreadPool pool(2);
+  FailpointRegistry failpoints(5);
+  failpoints.ArmLatency(kParallelForChunkSite, 1.0, 0.001);
+  ExecRuntime runtime = ExecRuntime(&pool).WithFailpoints(&failpoints);
+  std::vector<std::atomic<int>> hits(64);
+  for (auto& h : hits) h.store(0);
+  ParallelForStats stats =
+      ParallelFor(runtime, 0, 64, 8, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      });
+  EXPECT_TRUE(stats.complete());
+  EXPECT_EQ(failpoints.injected_delays(), 8);
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForFailpointTest, ChunkStallIsCappedByTheDeadline) {
+  // A 60 s stall against a 0.2 s deadline: the first chunk's stall ends at
+  // the deadline, that chunk still runs (claimed chunks finish), and the
+  // region then stops claiming — on any hardware.
+  FailpointRegistry failpoints(5);
+  failpoints.ArmLatency(kParallelForChunkSite, 1.0, 60.0);
+  CancellationToken token =
+      CancellationToken::WithDeadline(Deadline::After(0.2));
+  ExecRuntime runtime =
+      ExecRuntime().WithToken(token).WithFailpoints(&failpoints);
+  std::atomic<int64_t> ran{0};
+  ParallelForStats stats = ParallelFor(
+      runtime, 0, 10, 1, [&](int64_t lo, int64_t hi) { ran += hi - lo; });
+  // One chunk unless the timed wait wakes spuriously before the deadline.
+  EXPECT_TRUE(stats.cancelled);
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LT(ran.load(), 10);
+  EXPECT_EQ(failpoints.injected_delays(), ran.load());
+  EXPECT_TRUE(token.deadline().Expired());
+}
+
 // ---------------------------------------------------------------------------
 // RNG streams
 // ---------------------------------------------------------------------------

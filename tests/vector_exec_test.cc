@@ -6,6 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/aggregate.h"
@@ -78,16 +83,79 @@ TEST(PoissonOneTest, MaxUniformTerminatesAndIsBounded) {
   EXPECT_EQ(PoissonOneFromUniform(0.0), 0);
 }
 
-TEST(PoissonOneTest, BlockTransformMatchesScalar) {
-  Rng rng(99);
-  std::vector<double> uniforms(3000);
-  rng.FillUniform(uniforms.data(), 3000);
-  std::vector<double> block = uniforms;
-  PoissonOneWeightsFromUniforms(block.data(), 3000);
-  for (size_t i = 0; i < uniforms.size(); ++i) {
-    ASSERT_EQ(block[i],
-              static_cast<double>(PoissonOneFromUniform(uniforms[i])));
+// The double path FillPoissonOneWeights replaced, kept as its oracle:
+// uniforms (as FillUniform writes them) mapped one by one.
+void PoissonOneWeightsFromUniforms(double* buf, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    buf[i] = static_cast<double>(PoissonOneFromUniform(buf[i]));
   }
+}
+
+TEST(PoissonOneTest, IntegerThresholdsMatchDoubleComparisons) {
+  using poisson_internal::kPoissonOneCdf;
+  using poisson_internal::kPoissonOneThreshold53;
+  constexpr uint64_t kMaxDraw = (uint64_t{1} << 53) - 1;
+  for (int j = 0; j < 19; ++j) {
+    // T_j recomputed: F(j) * 2^53 is exact, so its ceiling is the first
+    // 53-bit draw whose uniform reaches F(j).
+    uint64_t t = static_cast<uint64_t>(std::ceil(std::ldexp(kPoissonOneCdf[j], 53)));
+    if (j < 5) {
+      EXPECT_EQ(kPoissonOneThreshold53[j], t) << "j=" << j;
+    }
+    EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, kPoissonOneCdf[j]);
+    EXPECT_GE(static_cast<double>(t) * 0x1.0p-53, kPoissonOneCdf[j]);
+    for (uint64_t k : {uint64_t{0}, t - 1, t, kMaxDraw}) {
+      if (k > kMaxDraw) continue;  // T_18 = 2^53: no draw reaches it.
+      EXPECT_EQ(PoissonOneFromBits(k),
+                PoissonOneFromUniform(static_cast<double>(k) * 0x1.0p-53))
+          << "j=" << j << " k=" << k;
+    }
+    EXPECT_EQ(PoissonOneFromBits(t - 1), j);
+    if (t <= kMaxDraw) {
+      EXPECT_EQ(PoissonOneFromBits(t), j + 1);
+    }
+  }
+}
+
+TEST(PoissonOneTest, GeneratorEqualsUniformFillPlusDoubleTransform) {
+  using poisson_internal::kPoissonOneCdf;
+  constexpr int64_t kDraws = int64_t{1} << 20;
+  // Uneven fill pieces, block-size boundaries and an empty fill included.
+  const int64_t kPieces[] = {1, 2047, 2048, 2049, 0, 4096, 100003, 7};
+  int64_t tail_draws = 0;
+  for (uint64_t seed : {1ULL, 42ULL, 2024ULL, 0x9e3779b97f4a7c15ULL}) {
+    Rng oracle(seed);
+    std::vector<double> expected(static_cast<size_t>(kDraws));
+    oracle.FillUniform(expected.data(), kDraws);
+    for (double u : expected) tail_draws += u >= kPoissonOneCdf[4];
+    PoissonOneWeightsFromUniforms(expected.data(), kDraws);
+
+    Rng split(seed);
+    std::vector<double> got(static_cast<size_t>(kDraws));
+    int64_t filled = 0;
+    for (size_t p = 0; filled < kDraws; ++p) {
+      int64_t len = std::min(kPieces[p % std::size(kPieces)], kDraws - filled);
+      FillPoissonOneWeights(split, got.data() + filled, len);
+      filled += len;
+    }
+    ASSERT_EQ(std::memcmp(got.data(), expected.data(),
+                          static_cast<size_t>(kDraws) * sizeof(double)),
+              0)
+        << "seed " << seed;
+    // Both generators end on the same stream position.
+    EXPECT_EQ(split.NextUint64(), oracle.NextUint64()) << "seed " << seed;
+
+    // The integer-typed fills see the same counts.
+    Rng whole(seed);
+    std::vector<int32_t> counts(static_cast<size_t>(kDraws));
+    FillPoissonOneWeights(whole, counts.data(), kDraws);
+    for (size_t i = 0; i < counts.size(); ++i) {
+      ASSERT_EQ(static_cast<double>(counts[i]), expected[i])
+          << "seed " << seed << " draw " << i;
+    }
+  }
+  // The double tail walk (draws past T_4, ~0.37%) was exercised.
+  EXPECT_GT(tail_draws, 10000);
 }
 
 TEST(PoissonOneTest, EmpiricalMomentsMatchPoissonOne) {
@@ -176,6 +244,82 @@ TEST(AddBlockTest, EqualsScalarAddForAllKinds) {
   WeightedAccumulator count_ref(AggregateKind::kCount);
   for (double w : weights) count_ref.Add(0.0, w);
   EXPECT_EQ(*count.Finalize(1.0), *count_ref.Finalize(1.0));
+}
+
+/// Expects two accumulators to agree bit for bit (memcmp, so ±0.0 and NaN
+/// payloads count) on everything they expose.
+void ExpectSameBits(const WeightedAccumulator& a, const WeightedAccumulator& b,
+                    const std::string& what) {
+  Result<double> ra = a.Finalize(1.0);
+  Result<double> rb = b.Finalize(1.0);
+  ASSERT_EQ(ra.ok(), rb.ok()) << what;
+  if (ra.ok()) {
+    double va = *ra;
+    double vb = *rb;
+    EXPECT_EQ(std::memcmp(&va, &vb, sizeof(double)), 0)
+        << what << ": " << va << " vs " << vb;
+  }
+  double wa = a.weight_sum();
+  double wb = b.weight_sum();
+  EXPECT_EQ(std::memcmp(&wa, &wb, sizeof(double)), 0) << what;
+}
+
+TEST(AddBlockTest, ExtremaFoldMatchesScalarAddBitForBit) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  // A small palette makes ties between ±0.0 and between infinities common.
+  const double kPalette[] = {0.0, -0.0, kInf, -kInf, kNan, 1.5, -1.5, 3.0};
+  // Running state the block starts from: empty, or one earlier row.
+  const std::vector<std::vector<double>> kPriors = {{}, {-0.0}, {0.0}, {kNan}};
+  Rng rng(31);
+  int64_t cases = 0;
+  for (int64_t size : {0, 1, 2047, 2048, 2049}) {
+    for (int draw = 0; draw < 3; ++draw) {
+      std::vector<double> values(static_cast<size_t>(size));
+      for (double& v : values) {
+        v = kPalette[rng.NextInt(static_cast<int64_t>(std::size(kPalette)))];
+      }
+      std::vector<std::pair<std::string, std::vector<double>>> patterns;
+      std::vector<double> poisson(static_cast<size_t>(size));
+      FillPoissonOneWeights(rng, poisson.data(), size);
+      patterns.emplace_back("poisson", poisson);
+      patterns.emplace_back("all-zero", std::vector<double>(poisson.size()));
+      if (size > 0) {
+        std::vector<double> first(poisson.size(), 0.0);
+        first.front() = 2.0;
+        patterns.emplace_back("lone-first", first);
+        std::vector<double> last(poisson.size(), 0.0);
+        last.back() = 1.0;
+        patterns.emplace_back("lone-last", last);
+      }
+      patterns.emplace_back("unit", std::vector<double>());
+      for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
+        for (const auto& [name, weights] : patterns) {
+          bool unit = name == "unit";
+          for (const std::vector<double>& prior : kPriors) {
+            WeightedAccumulator blocked(kind);
+            WeightedAccumulator scalar(kind);
+            for (double v : prior) {
+              blocked.Add(v, 1.0);
+              scalar.Add(v, 1.0);
+            }
+            blocked.AddBlock(values.data(), unit ? nullptr : weights.data(),
+                             size);
+            for (int64_t i = 0; i < size; ++i) {
+              scalar.Add(values[static_cast<size_t>(i)],
+                         unit ? 1.0 : weights[static_cast<size_t>(i)]);
+            }
+            ExpectSameBits(blocked, scalar,
+                           std::string(AggregateKindName(kind)) + " " + name +
+                               " size " + std::to_string(size) + " prior " +
+                               std::to_string(prior.size()));
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 300);
 }
 
 TEST(AddBlockTest, AllZeroWeightsLeaveAccumulatorEmpty) {
